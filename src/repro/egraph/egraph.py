@@ -36,6 +36,19 @@ def _is_representable(value: float) -> bool:
 Payload = Union[int, float, str, None]
 
 
+def _canonical_key(parent: List[int], key: tuple) -> tuple:
+    out = []
+    for x in key:
+        if type(x) is int:
+            if x >= 0:
+                while parent[x] != x:
+                    x = parent[x]
+        elif type(x) is tuple:
+            x = _canonical_key(parent, x)
+        out.append(x)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class ENode:
     """One operator application with e-class children.
@@ -51,7 +64,7 @@ class ENode:
 
     def canonicalize(self, uf: UnionFind) -> "ENode":
         """Rewrite child ids to their canonical representatives."""
-        new_children = tuple(uf.find(c) for c in self.children)
+        new_children = tuple(map(uf.find, self.children))
         if new_children == self.children:
             return self
         return ENode(self.op, new_children, self.value)
@@ -105,6 +118,10 @@ class EGraph:
         #: consumers canonicalize and re-check, so staleness only costs
         #: a wasted lookup, never a missed match.
         self._op_index: Dict[str, Set[int]] = {}
+        #: op name -> (tick, candidate order, {since: dirty subset})
+        #: of its last scan; reused within a tick (see
+        #: :meth:`classes_with_op`).
+        self._op_scan: Dict[str, tuple] = {}
         #: Total number of e-nodes ever added; the saturation runner's
         #: node limit checks this, mirroring egg's ``node_limit``.
         self.version = 0
@@ -126,8 +143,15 @@ class EGraph:
     # ------------------------------------------------------------------
 
     def find(self, eclass_id: int) -> int:
-        """Canonical id of the class containing ``eclass_id``."""
-        return self._uf.find(eclass_id)
+        """Canonical id of the class containing ``eclass_id``.
+
+        The hottest call in saturation, so it walks the union-find's
+        parent links itself (without path halving, which only
+        ``UnionFind.find`` does; either way the root is the same)."""
+        parent = self._uf._parent
+        while parent[eclass_id] != eclass_id:
+            eclass_id = parent[eclass_id]
+        return eclass_id
 
     @property
     def num_classes(self) -> int:
@@ -199,29 +223,55 @@ class EGraph:
         ``counters`` (any object with ``visited``/``skipped`` ints,
         e.g. :class:`repro.egraph.pattern.MatchCounters`) is credited
         with how many candidate classes were kept vs pruned.
+
+        The result's order is the iteration order of the index's set,
+        which every call rebuilds by re-inserting the surviving ids in
+        the old set's order.  That order is the candidate order of
+        every search, so it is part of the output contract: the
+        rebuild happens on every call, even when nothing changed.  The
+        rest is done once per tick: within a tick the graph is frozen,
+        so the index needs cleaning (canonical ids, dead ids dropped)
+        only on the first call, and a ``since`` filter over an
+        unchanged order gives the same list.
         """
         stale = self._op_index.get(op)
         if not stale:
             return []
-        fresh: Set[int] = set()
-        for cid in stale:
-            root = self._uf.find(cid)
-            eclass = self._classes.get(root)
-            if eclass is not None and any(n.op == op for n in eclass.nodes):
-                fresh.add(root)
+        scan = self._op_scan.get(op)
+        if scan is not None and scan[0] == self.tick:
+            fresh = set(scan[1])
+        else:
+            fresh = set()
+            parent = self._uf._parent
+            classes = self._classes
+            for cid in stale:
+                while parent[cid] != cid:
+                    cid = parent[cid]
+                eclass = classes.get(cid)
+                if eclass is not None:
+                    for n in eclass.nodes:
+                        if n.op == op:
+                            fresh.add(cid)
+                            break
         self._op_index[op] = fresh
+        order = list(fresh)
+        if scan is None or scan[0] != self.tick or scan[1] != order:
+            scan = self._op_scan[op] = (self.tick, order, {})
         if since is None:
             if counters is not None:
-                counters.visited += len(fresh)
-            return list(fresh)
-        self._propagate_dirty()
-        dirty = [
-            cid for cid in fresh if self._classes[cid].modified_at > since
-        ]
+                counters.visited += len(order)
+            return list(order)
+        dirty = scan[2].get(since)
+        if dirty is None:
+            self._propagate_dirty()
+            classes = self._classes
+            dirty = scan[2][since] = [
+                cid for cid in order if classes[cid].modified_at > since
+            ]
         if counters is not None:
             counters.visited += len(dirty)
-            counters.skipped += len(fresh) - len(dirty)
-        return dirty
+            counters.skipped += len(order) - len(dirty)
+        return list(dirty)
 
     def dirty_class_ids(self, since=None, counters=None) -> List[int]:
         """Canonical class ids whose subtree changed after tick
@@ -241,6 +291,16 @@ class EGraph:
             counters.visited += len(dirty)
             counters.skipped += len(self._classes) - len(dirty)
         return dirty
+
+    def canonical_key(self, key: tuple) -> tuple:
+        """Canonicalize a match dedup key: non-negative ints are e-class
+        ids and collapse to their representative; nested tuples recurse;
+        everything else (strings, negative sentinel ints) passes through.
+
+        ``type(x) is int`` deliberately excludes ``bool`` (an ``int``
+        subclass) so boolean flags in keys are never treated as ids.
+        """
+        return _canonical_key(self._uf._parent, key)
 
     def __contains__(self, term: Term) -> bool:
         return self.lookup_term(term) is not None
@@ -325,6 +385,7 @@ class EGraph:
         self._pending = other._pending
         self._const = other._const
         self._op_index = other._op_index
+        self._op_scan = {}
         self.constant_folding = other.constant_folding
         self.version = other.version
         self.tick = other.tick

@@ -38,6 +38,7 @@ from .pattern import (
     MatchCounters,
     Pattern,
     Subst,
+    compile_pattern,
     ematch,
     instantiate,
     pattern,
@@ -165,6 +166,9 @@ class SyntacticRewrite(Rewrite):
         self.lhs = pattern(lhs)
         self.rhs = pattern(rhs)
         self.guard = guard
+        # Compile the matcher now, not at the first search, so a process
+        # that builds its rules before forking workers hands them over.
+        compile_pattern(self.lhs)
         missing = set(pattern_vars(self.rhs)) - set(pattern_vars(self.lhs))
         if missing:
             raise ValueError(

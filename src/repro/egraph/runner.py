@@ -380,8 +380,8 @@ class Runner:
                 for match in all_matches:
                     failing_match = match
                     if self.dedup_matches and match.dedup_key is not None:
-                        key = (match.rule_name,) + _canonical_key(
-                            egraph, match.dedup_key
+                        key = (match.rule_name,) + egraph.canonical_key(
+                            match.dedup_key
                         )
                         if key in applied_keys:
                             deduped += 1
@@ -607,21 +607,3 @@ class Runner:
         skipped = sum(s.classes_skipped for s in scheduler.stats.values())
         return visited, skipped
 
-
-def _canonical_key(egraph: EGraph, key: tuple) -> tuple:
-    """Canonicalize a match dedup key: non-negative ints are e-class
-    ids and collapse to their representative; nested tuples recurse;
-    everything else (strings, negative sentinel ints) passes through.
-
-    ``type(x) is int`` deliberately excludes ``bool`` (an ``int``
-    subclass) so boolean flags in keys are never fed to ``find``.
-    """
-    out = []
-    for x in key:
-        if type(x) is tuple:
-            out.append(_canonical_key(egraph, x))
-        elif type(x) is int and x >= 0:
-            out.append(egraph.find(x))
-        else:
-            out.append(x)
-    return tuple(out)

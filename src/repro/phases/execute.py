@@ -232,22 +232,32 @@ def _copy_stats(stats: Dict[str, RuleStats]) -> Dict[str, RuleStats]:
     return {name: dataclasses.replace(s) for name, s in stats.items()}
 
 
+#: The additive ``RuleStats`` fields a merged report sums over rounds.
+_STAT_COUNTERS = (
+    "matches", "applied", "skipped", "times_banned", "search_time",
+    "classes_visited", "classes_skipped", "full_rescans",
+)
+
+
 def _merge_rule_stats(
-    into: Dict[str, RuleStats], source: Dict[str, RuleStats]
+    into: Dict[str, RuleStats],
+    source: Dict[str, RuleStats],
+    carried: Optional[Dict[str, RuleStats]] = None,
 ) -> None:
+    """Add one round's own work to ``into``.  ``source`` is the round's
+    cumulative stats; ``carried`` is what its scheduler was seeded with
+    (the previous round's stats), which is subtracted so earlier rounds
+    are not counted again."""
+    zero = RuleStats()
     for name, s in source.items():
+        base = (carried or {}).get(name, zero)
         acc = into.get(name)
         if acc is None:
-            into[name] = dataclasses.replace(s)
-            continue
-        acc.matches += s.matches
-        acc.applied += s.applied
-        acc.skipped += s.skipped
-        acc.times_banned += s.times_banned
-        acc.search_time += s.search_time
-        acc.classes_visited += s.classes_visited
-        acc.classes_skipped += s.classes_skipped
-        acc.full_rescans += s.full_rescans
+            acc = into[name] = dataclasses.replace(
+                s, **{f: getattr(zero, f) for f in _STAT_COUNTERS}
+            )
+        for f in _STAT_COUNTERS:
+            setattr(acc, f, getattr(acc, f) + getattr(s, f) - getattr(base, f))
 
 
 def execute_plan(
@@ -427,7 +437,9 @@ def _run_phase(
             incremental=options.incremental_matching,
             rescan_stride=options.rescan_stride,
         )
+        seeded = None
         if carried is not None:
+            seeded = _copy_stats(carried)
             # Continue the backoff history across the re-seed: match
             # counters and ban counts persist so explosive rules stay
             # throttled, and bans are rebased to the new runner's
@@ -463,7 +475,7 @@ def _run_phase(
             persist=persist,
         )
         run = runner.run(egraph)
-        _merge_rule_stats(merged.rule_stats, run.rule_stats)
+        _merge_rule_stats(merged.rule_stats, run.rule_stats, seeded)
         merged.iterations.extend(run.iterations)
         merged.stop_reason = run.stop_reason
         if run.resumed_from is not None and merged.resumed_from is None:

@@ -30,12 +30,12 @@ cost model can choose the single-array gather layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from ..egraph.egraph import EGraph, ENode
 from ..egraph.rewrite import CustomRewrite, Match, Rewrite, SearchContext
-from .vector import class_is_zero, operand_sort_key
+from .vector import LaneFacts, class_is_zero, operand_sort_key
 
 __all__ = ["mac_rule"]
 
@@ -99,6 +99,7 @@ def mac_rule(width: int) -> Rewrite:
 
     def searcher(egraph: EGraph, ctx: SearchContext) -> List[Match]:
         matches: List[Match] = []
+        facts = LaneFacts(egraph)
         candidates = egraph.classes_with_op(
             "Vec", since=ctx.since, counters=ctx.counters
         )
@@ -106,18 +107,18 @@ def mac_rule(width: int) -> Rewrite:
             for node in egraph.nodes_of(root):
                 if node.op != "Vec" or len(node.children) != width:
                     continue
-                matches.extend(_mac_matches_for(egraph, root, node))
+                matches.extend(_mac_matches_for(facts, root, node))
         return matches
 
     return CustomRewrite(f"vec-mac-w{width}", searcher, tags=("mac", "vector"))
 
 
-def _mac_matches_for(egraph: EGraph, root: int, node: ENode) -> List[Match]:
+def _mac_matches_for(facts: LaneFacts, root: int, node: ENode) -> List[Match]:
     lanes = node.children
     per_lane: List[_LaneMac] = []
     mul_lanes = 0
     for lane in lanes:
-        found = _match_mac_lane(egraph, lane)
+        found = facts(_match_mac_lane, lane)
         if found is None:
             return []
         if found.b is not None:
@@ -175,8 +176,11 @@ def _mac_matches_for(egraph: EGraph, root: int, node: ENode) -> List[Match]:
     for lane_match in per_lane:
         b, c = lane_match.b, lane_match.c
         if b is not None and c is not None:
-            if operand_sort_key(egraph, c) < operand_sort_key(egraph, b):
-                lane_match = replace(lane_match, b=c, c=b)
+            if facts(operand_sort_key, c) < facts(operand_sort_key, b):
+                lane_match = _LaneMac(
+                    lane_match.acc, c, b,
+                    lane_match.negate_acc, lane_match.negate_b,
+                )
         sorted_lanes.append(lane_match)
     if sorted_lanes != per_lane:
         matches.append(

@@ -31,7 +31,7 @@ for memory reasons (Section 3.3).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from ..dsl.ops import SCALAR_BINOPS, SCALAR_UNOPS
 from ..egraph.egraph import EGraph, ENode
@@ -44,6 +44,7 @@ __all__ = [
     "vector_identity_rules",
     "class_is_zero",
     "operand_sort_key",
+    "LaneFacts",
 ]
 
 _COMMUTATIVE = {"+", "*"}
@@ -51,6 +52,16 @@ _COMMUTATIVE = {"+", "*"}
 #: Identity to place in the second operand of a padded lane so that the
 #: lane still computes zero: 0 op identity == 0.
 _PAD_SECOND_OPERAND = {"+": 0.0, "-": 0.0, "*": 1.0, "/": 1.0}
+
+_T = TypeVar("_T")
+
+#: Per-lane classification for the binary rule: the operator's two
+#: operand classes, or a padding constant pair.
+_LaneBin = Tuple[int, int]
+
+#: A literal lane's classification: the (-1, -1) sentinel is resolved
+#: to a pass-through lane at build time.
+_LITERAL_LANE: List[_LaneBin] = [(-1, -1)]
 
 
 def class_is_zero(egraph: EGraph, eclass_id: int) -> bool:
@@ -80,7 +91,7 @@ def operand_sort_key(egraph: EGraph, eclass_id: int) -> Tuple[int, str, float]:
         key: Optional[Tuple[int, str, float]] = None
         if node.op == "Get":
             array = _symbol_name(egraph, node.children[0])
-            index = _num_value(egraph, node.children[1])
+            index = _class_literal(egraph, node.children[1])
             if array is not None and index is not None:
                 key = (0, array, index)
         elif node.op == "Num":
@@ -97,9 +108,63 @@ def _symbol_name(egraph: EGraph, eclass_id: int) -> Optional[str]:
     return None
 
 
-def _num_value(egraph: EGraph, eclass_id: int) -> Optional[float]:
-    lit = _class_literal(egraph, eclass_id)
-    return lit
+class LaneFacts:
+    """Per-search memo of the per-lane facts the vectorizers recompute.
+
+    The paper's searchers recompute lane equivalences on every search
+    instead of storing them in the e-graph (Section 3.3); within one
+    search, though, the same lane class recurs in many ``Vec`` nodes
+    and under every operator.  ``facts(fact, cid)`` computes
+    ``fact(egraph, root)`` once per canonical class ``root``.  Keyed by
+    canonical id, a memo is valid only while the graph is frozen --
+    within one search: a searcher makes one per search and drops it on
+    return.  Results are shared, so callers must not mutate them.
+    """
+
+    __slots__ = ("egraph", "_memo")
+
+    def __init__(self, egraph: EGraph) -> None:
+        self.egraph = egraph
+        self._memo: Dict[Tuple[Callable, int], object] = {}
+
+    def __call__(self, fact: Callable[[EGraph, int], _T], eclass_id: int) -> _T:
+        key = (fact, self.egraph.find(eclass_id))
+        memo = self._memo
+        if key not in memo:
+            memo[key] = fact(self.egraph, key[1])
+        return memo[key]  # type: ignore[return-value]
+
+
+def _binary_lane(
+    egraph: EGraph, lane: int
+) -> Tuple[Dict[str, List[_LaneBin]], bool]:
+    """How this lane can feed a lane of each binary ``VecOp``: per
+    scalar operator, the (a, b) operand-class candidate pairs
+    (commutative operators contribute the swapped pair as well), and
+    whether the lane is a literal, which passes through any operator
+    padded with its identity."""
+    by_op: Dict[str, List[_LaneBin]] = {}
+    literal = False
+    for node in egraph.nodes_of(lane):
+        if node.op in SCALAR_BINOPS:
+            a, b = node.children
+            pairs = by_op.setdefault(node.op, [])
+            pairs.append((a, b))
+            if node.op in _COMMUTATIVE and a != b:
+                pairs.append((b, a))
+        elif node.op == "Num":
+            literal = True
+    return by_op, literal
+
+
+def _unary_lane(egraph: EGraph, lane: int) -> Tuple[Dict[str, int], bool]:
+    """Per unary scalar operator, the argument class of the lane's
+    first node applying it, and whether the lane holds the literal 0."""
+    args: Dict[str, int] = {}
+    for node in egraph.nodes_of(lane):
+        if node.op in SCALAR_UNOPS:
+            args.setdefault(node.op, node.children[0])
+    return args, class_is_zero(egraph, lane)
 
 
 # ---------------------------------------------------------------------------
@@ -161,42 +226,13 @@ def _build_chunks(egraph: EGraph, lanes: Sequence[int], width: int) -> int:
 # 2. Lane-wise vectorization (custom searchers)
 # ---------------------------------------------------------------------------
 
-#: Per-lane classification for the binary rule: the operator's two
-#: operand classes, or a padding constant pair.
-_LaneBin = Tuple[int, int]
-
-
-def _match_binary_lane(
-    egraph: EGraph, lane: int, op: str
-) -> Optional[List[_LaneBin]]:
-    """All ways this lane can feed a lane of ``VecOp``.
-
-    Returns a list of (a, b) operand-class candidate pairs (commutative
-    operators contribute the swapped pair as well), or pads when the
-    lane is a literal; ``None`` when the lane cannot participate.
-    """
-    candidates: List[_LaneBin] = []
-    for node in egraph.nodes_of(lane):
-        if node.op == op:
-            a, b = node.children
-            candidates.append((a, b))
-            if op in _COMMUTATIVE and a != b:
-                candidates.append((b, a))
-    if candidates:
-        return candidates
-    literal = _class_literal(egraph, lane)
-    if literal is not None:
-        # A literal lane x can pass through as (x op identity).
-        return [(-1, -1)]  # sentinel: resolved at build time
-    return None
-
-
 def binary_vectorize_rule(width: int) -> Rewrite:
     """Vectorize ``Vec`` nodes whose lanes apply one binary scalar
     operator (allowing literal/zero lanes)."""
 
     def searcher(egraph: EGraph, ctx: SearchContext) -> List[Match]:
         matches: List[Match] = []
+        facts = LaneFacts(egraph)
         candidates = egraph.classes_with_op(
             "Vec", since=ctx.since, counters=ctx.counters
         )
@@ -204,9 +240,10 @@ def binary_vectorize_rule(width: int) -> Rewrite:
             for node in egraph.nodes_of(root):
                 if node.op != "Vec" or len(node.children) != width:
                     continue
+                lanes = [facts(_binary_lane, lane) for lane in node.children]
                 for op, vec_op in SCALAR_BINOPS.items():
                     matches.extend(
-                        _binary_matches_for(egraph, root, node, op, vec_op)
+                        _binary_matches_for(facts, root, node, lanes, op, vec_op)
                     )
         return matches
 
@@ -216,17 +253,24 @@ def binary_vectorize_rule(width: int) -> Rewrite:
 
 
 def _binary_matches_for(
-    egraph: EGraph, root: int, node: ENode, op: str, vec_op: str
+    facts: LaneFacts,
+    root: int,
+    node: ENode,
+    lane_facts: List[Tuple[Dict[str, List[_LaneBin]], bool]],
+    op: str,
+    vec_op: str,
 ) -> List[Match]:
     lanes = node.children
     per_lane: List[List[_LaneBin]] = []
     op_lanes = 0
-    for lane in lanes:
-        found = _match_binary_lane(egraph, lane, op)
-        if found is None:
-            return []
-        if found[0] != (-1, -1):
+    for by_op, literal in lane_facts:
+        found = by_op.get(op)
+        if found:
             op_lanes += 1
+        elif literal:
+            found = _LITERAL_LANE
+        else:
+            return []
         per_lane.append(found)
     if op_lanes == 0:
         return []
@@ -276,7 +320,7 @@ def _binary_matches_for(
             best = options[0]
             if best != (-1, -1):
                 a, b = best
-                if operand_sort_key(egraph, b) < operand_sort_key(egraph, a):
+                if facts(operand_sort_key, b) < facts(operand_sort_key, a):
                     best = (b, a)
             sorted_choice.append(best)
         if sorted_choice != identity_choice:
@@ -297,6 +341,7 @@ def unary_vectorize_rule(width: int) -> Rewrite:
 
     def searcher(egraph: EGraph, ctx: SearchContext) -> List[Match]:
         matches: List[Match] = []
+        facts = LaneFacts(egraph)
         candidates = egraph.classes_with_op(
             "Vec", since=ctx.since, counters=ctx.counters
         )
@@ -304,8 +349,9 @@ def unary_vectorize_rule(width: int) -> Rewrite:
             for node in egraph.nodes_of(root):
                 if node.op != "Vec" or len(node.children) != width:
                     continue
+                lanes = [facts(_unary_lane, lane) for lane in node.children]
                 for op, vec_op in SCALAR_UNOPS.items():
-                    match = _unary_match_for(egraph, root, node, op, vec_op)
+                    match = _unary_match_for(root, lanes, op, vec_op)
                     if match is not None:
                         matches.append(match)
         return matches
@@ -316,21 +362,19 @@ def unary_vectorize_rule(width: int) -> Rewrite:
 
 
 def _unary_match_for(
-    egraph: EGraph, root: int, node: ENode, op: str, vec_op: str
+    root: int,
+    lane_facts: List[Tuple[Dict[str, int], bool]],
+    op: str,
+    vec_op: str,
 ) -> Optional[Match]:
-    lanes = node.children
     args: List[Optional[int]] = []
     op_lanes = 0
-    for lane in lanes:
-        found = None
-        for candidate in egraph.nodes_of(lane):
-            if candidate.op == op:
-                found = candidate.children[0]
-                break
+    for by_op, zero in lane_facts:
+        found = by_op.get(op)
         if found is not None:
             op_lanes += 1
             args.append(found)
-        elif class_is_zero(egraph, lane):
+        elif zero:
             args.append(None)  # resolved to literal 0 at build time
         else:
             return None

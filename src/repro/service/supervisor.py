@@ -52,6 +52,7 @@ from ..errors import (
 )
 from ..frontend.lift import Spec
 from ..observability import current_session, event as _obs_event, span as _obs_span
+from ..rules import build_ruleset
 from ..seeding import stable_rng
 from .cache import ArtifactCache
 from .worker import CompileTask, FaultInjection, WorkerLimits, worker_main
@@ -273,12 +274,19 @@ class CompileService:
         #: ShutdownError, in-flight failures stop retrying, and live
         #: workers are killed + reaped by their supervising threads.
         self._draining = threading.Event()
+        #: Set (under ``_lock``) by a killing ``shutdown()``: workers
+        #: registered after it are killed on registration.
+        self._kill_on_drain = False
         self._live: List[object] = []
         self._previous_handlers: Dict[int, object] = {}
         if isolate and hasattr(multiprocessing, "get_all_start_methods") and (
             "fork" in multiprocessing.get_all_start_methods()
         ):
             self._ctx = multiprocessing.get_context("fork")
+            # Build the default rules once here: their pattern matchers
+            # are generated on construction, and forked workers inherit
+            # them instead of each generating its own.
+            build_ruleset()
         else:  # pragma: no cover - non-POSIX fallback
             self._ctx = multiprocessing.get_context()
 
@@ -528,6 +536,7 @@ class CompileService:
         if not kill_inflight:
             return
         with self._lock:
+            self._kill_on_drain = True
             procs = list(self._live)
         for proc in procs:
             try:
@@ -538,6 +547,8 @@ class CompileService:
     def resume(self) -> None:
         """Clear the drain latch (tests / long-lived servers that drain
         and then accept work again)."""
+        with self._lock:
+            self._kill_on_drain = False
         self._draining.clear()
 
     def install_signal_handlers(self, signums: Optional[Sequence[int]] = None):
@@ -579,8 +590,15 @@ class CompileService:
         self._previous_handlers = {}
 
     def _register(self, proc) -> None:
+        """Track a started worker.  Registration and the drain check
+        happen under one lock, so a worker either is in the list a
+        killing ``shutdown()`` snapshots, or sees that shutdown here
+        and is killed at once (and reaped by its supervising thread)."""
         with self._lock:
             self._live.append(proc)
+            kill = self._kill_on_drain
+        if kill:
+            self._kill(proc)
 
     def _unregister(self, proc) -> None:
         with self._lock:
@@ -687,6 +705,8 @@ class CompileService:
         )
         proc.start()
         child_conn.close()
+        # A shutdown() that landed since start() has already snapshotted
+        # the live workers without this one; _register kills it then.
         self._register(proc)
         kill_timeout = limits.kill_timeout or _DEFAULT_KILL_TIMEOUT
         deadline = time.monotonic() + kill_timeout

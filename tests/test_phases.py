@@ -296,3 +296,18 @@ def test_phased_compile_is_hashseed_independent():
         "phased compilation output depends on PYTHONHASHSEED; phase "
         "checkpoints would not resume across machines"
     )
+
+
+def test_phased_rule_stats_count_each_round_once():
+    """Each extend round's scheduler starts from the previous round's
+    cumulative rule stats; the merged report must add only each
+    round's own work, not count earlier rounds again."""
+    spec = get_kernel("2dconv-8x8-4x4").spec()
+    result = compile_spec(spec, CompileOptions(time_limit=None, validate=False))
+    rounds = [r for p in result.phases.phases for r in p.rounds]
+    assert any(len(p.rounds) > 1 for p in result.phases.phases)
+    stats = result.report.rule_stats.values()
+    assert sum(s.matches for s in stats) == sum(
+        it.matches for it in result.report.iterations
+    )
+    assert sum(s.search_time for s in stats) <= sum(r.elapsed for r in rounds)

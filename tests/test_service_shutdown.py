@@ -202,3 +202,48 @@ def test_compile_many_drains_cleanly():
     assert all(not item.ok for item in items)
     assert all(isinstance(item.error, ShutdownError) for item in items)
     assert service._live == []
+
+
+def test_shutdown_between_spawn_and_register_kills_worker():
+    """A drain landing after ``proc.start()`` but before the worker is
+    registered must not miss it: the snapshot ``shutdown()`` kills
+    does not hold the worker yet, so registration itself has to see
+    the drain and kill it, instead of leaving it hanging until the
+    kill-timeout."""
+    spec = _spec("shutdown-window")
+    service = CompileService(
+        cache=None,
+        isolate=True,
+        policy=QUICK,
+        limits=WorkerLimits(kill_timeout=120.0),
+    )
+    register = service._register
+    seen = []
+
+    def register_after_drain(proc):
+        # Runs in the supervising thread right after proc.start():
+        # force the shutdown into the spawn/register window.
+        seen.append(proc)
+        service.shutdown()
+        register(proc)
+
+    service._register = register_after_drain
+    errors = []
+
+    def compile_one():
+        try:
+            service.compile_spec(spec, FAST, inject=FaultInjection("hang"))
+        except BaseException as exc:  # noqa: BLE001 - inspected below
+            errors.append(exc)
+
+    start = time.monotonic()
+    thread = threading.Thread(target=compile_one)
+    thread.start()
+    thread.join(timeout=20.0)
+    assert not thread.is_alive(), "worker spawned mid-drain was not killed"
+    assert time.monotonic() - start < 20.0
+    assert len(seen) == 1
+    assert len(errors) == 1 and isinstance(errors[0], ShutdownError)
+    assert service._live == []
+    with pytest.raises(ValueError, match="closed"):
+        seen[0].is_alive()
