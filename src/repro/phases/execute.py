@@ -287,9 +287,6 @@ def execute_plan(
 
     term = spec.term
     last_good: Optional[Term] = None
-    egraph = EGraph(constant_folding=options.enable_constant_folding)
-    root = egraph.add_term(spec.term)
-    merged.seed_version = egraph.version
     failed = False
     failure = ""
 
@@ -364,6 +361,9 @@ def execute_plan(
                 break
             last_good = term
 
+    # ``PhasePlan`` rejects an empty plan, and phase 0's first round
+    # seeds ``spec.term`` into a fresh graph.
+    merged.seed_version = plan_report.phases[0].rounds[0].seed_version
     plan_report.total_time = time.perf_counter() - start
     plan_report.completed = not failed
     merged.total_time = plan_report.total_time

@@ -24,17 +24,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..chaos.inject import chaos_point
-from ..dsl.ast import Term, unique_size
+from ..dsl.ast import Term
 from ..dsl.interp import evaluate_output
+from ..frontend.lift import Spec, random_inputs
+from .canon import CanonLimits, CanonOverflow, Work, equivalent
 
 #: Lanes with more unique nodes than this skip the canonical decision
 #: procedure (polynomial expansion would overflow anyway).
 _CANON_SIZE_GATE = 200
-from ..frontend.lift import Spec, random_inputs
-from .canon import CanonLimits, CanonOverflow, equivalent
 
 __all__ = ["flatten_to_scalars", "ValidationResult", "LaneResult", "validate"]
 
@@ -85,6 +85,10 @@ class LaneResult:
     ok: bool
     method: str  # "structural" | "canonical" | "random"
     detail: str = ""
+    #: Canonicalization work charged for this lane (0 when the
+    #: procedure did not run); past ``CanonLimits.max_work`` when it
+    #: overflowed.
+    work: int = 0
 
 
 @dataclass
@@ -191,44 +195,50 @@ def _validate_lane(
     chaos_point("validate.lane")
     if spec_lane == opt_lane:
         return LaneResult(index, True, "structural")
-    has_calls = _contains_call(spec_lane) or _contains_call(opt_lane)
+    spec_size, spec_calls, spec_irrational = _scan(spec_lane)
+    opt_size, opt_calls, opt_irrational = _scan(opt_lane)
     # Deep DAGs (QR-style kernels) explode under polynomial expansion;
     # skip straight to randomized testing rather than burn the canon
     # work budget lane after lane.
-    too_deep = (
-        unique_size(spec_lane) > _CANON_SIZE_GATE
-        or unique_size(opt_lane) > _CANON_SIZE_GATE
-    )
-    if not has_calls and not too_deep:
+    too_deep = spec_size > _CANON_SIZE_GATE or opt_size > _CANON_SIZE_GATE
+    work = 0
+    if not (spec_calls or opt_calls) and not too_deep:
+        budget = Work(limits)
         try:
-            if equivalent(spec_lane, opt_lane, limits):
-                return LaneResult(index, True, "canonical")
-            # A positive answer is always sound.  A NEGATIVE answer is
-            # only decisive for pure rational expressions: sqrt/sgn
-            # subterms are keyed by non-reduced rational forms, so two
-            # equal-but-differently-written arguments yield distinct
-            # atoms (incompleteness, not unsoundness).  Fall back to
-            # randomized testing in that case.
-            if not (_contains_irrational(spec_lane) or _contains_irrational(opt_lane)):
-                return LaneResult(
-                    index, False, "canonical", "canonical forms differ"
-                )
+            proved = equivalent(spec_lane, opt_lane, limits, budget)
         except CanonOverflow:
-            pass  # fall through to randomized testing
+            proved = None  # fall through to randomized testing
         except ZeroDivisionError as exc:
-            return LaneResult(index, False, "canonical", str(exc))
-    return _random_lane(index, spec_lane, opt_lane, envs, tolerance, funcs)
+            work = limits.max_work - budget.remaining
+            return LaneResult(index, False, "canonical", str(exc), work)
+        work = limits.max_work - budget.remaining
+        if proved:
+            return LaneResult(index, True, "canonical", work=work)
+        # A positive answer is always sound.  A NEGATIVE answer is
+        # only decisive for pure rational expressions: sqrt/sgn
+        # subterms are keyed by non-reduced rational forms, so two
+        # equal-but-differently-written arguments yield distinct
+        # atoms (incompleteness, not unsoundness).  Fall back to
+        # randomized testing in that case.
+        if proved is False and not (spec_irrational or opt_irrational):
+            return LaneResult(
+                index, False, "canonical", "canonical forms differ", work
+            )
+    lane = _random_lane(index, spec_lane, opt_lane, spec_calls, envs, tolerance, funcs)
+    lane.work = work
+    return lane
 
 
 def _random_lane(
     index: int,
     spec_lane: Term,
     opt_lane: Term,
+    spec_calls: bool,
     envs: Sequence[Mapping[str, Sequence[float]]],
     tolerance: float,
     funcs: Mapping[str, Callable[..., float]],
 ) -> LaneResult:
-    if _contains_call(spec_lane) and not funcs:
+    if spec_calls and not funcs:
         # Mirrors the paper: uninterpreted calls with no user-provided
         # semantics can cause spurious failures, so we refuse to claim
         # success and report the situation instead.
@@ -239,6 +249,7 @@ def _random_lane(
             "lane uses uninterpreted functions and no concrete semantics "
             "were provided (see paper Section 3.4)",
         )
+    valid = 0
     for env in envs:
         try:
             expected = evaluate_output(spec_lane, env, funcs)[0]
@@ -247,6 +258,7 @@ def _random_lane(
             # A randomly-invalid input (negative sqrt, zero divisor):
             # skip the sample rather than mis-reporting.
             continue
+        valid += 1
         scale = max(1.0, abs(expected))
         if abs(expected - actual) > tolerance * scale:
             return LaneResult(
@@ -255,29 +267,29 @@ def _random_lane(
                 "random",
                 f"mismatch: expected {expected!r}, got {actual!r}",
             )
+    if not valid:
+        # Every sample was invalid: no evidence either way, so no pass.
+        return LaneResult(index, False, "random", "no valid random sample")
     return LaneResult(index, True, "random")
 
 
-def _contains_call(term: Term) -> bool:
-    return _contains_op(term, ("Call",))
-
-
-def _contains_irrational(term: Term) -> bool:
-    """True when the lane contains operators outside the rational
-    fragment (sqrt/sgn), for which the canonicalizer is sound but
-    incomplete."""
-    return _contains_op(term, ("sqrt", "sgn"))
-
-
-def _contains_op(term: Term, ops) -> bool:
+def _scan(term: Term) -> Tuple[int, bool, bool]:
+    """One walk over a lane's DAG: its unique size, whether it has an
+    uninterpreted ``Call``, and whether it has operators outside the
+    rational fragment (``sqrt``/``sgn``), for which the canonicalizer
+    is sound but incomplete."""
     seen = set()
     stack = [term]
+    calls = irrational = False
     while stack:
         t = stack.pop()
         if t in seen:
             continue
         seen.add(t)
-        if t.op in ops:
-            return True
+        op = t.op
+        if op == "Call":
+            calls = True
+        elif op == "sqrt" or op == "sgn":
+            irrational = True
         stack.extend(t.args)
-    return False
+    return len(seen), calls, irrational

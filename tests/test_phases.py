@@ -298,12 +298,17 @@ def test_phased_compile_is_hashseed_independent():
     )
 
 
-def test_phased_rule_stats_count_each_round_once():
+@pytest.fixture(scope="module")
+def phased_conv():
+    spec = get_kernel("2dconv-8x8-4x4").spec()
+    return compile_spec(spec, CompileOptions(time_limit=None, validate=False))
+
+
+def test_phased_rule_stats_count_each_round_once(phased_conv):
     """Each extend round's scheduler starts from the previous round's
     cumulative rule stats; the merged report must add only each
     round's own work, not count earlier rounds again."""
-    spec = get_kernel("2dconv-8x8-4x4").spec()
-    result = compile_spec(spec, CompileOptions(time_limit=None, validate=False))
+    result = phased_conv
     rounds = [r for p in result.phases.phases for r in p.rounds]
     assert any(len(p.rounds) > 1 for p in result.phases.phases)
     stats = result.report.rule_stats.values()
@@ -311,3 +316,13 @@ def test_phased_rule_stats_count_each_round_once():
         it.matches for it in result.report.iterations
     )
     assert sum(s.search_time for s in stats) <= sum(r.elapsed for r in rounds)
+
+
+def test_phased_seed_version_is_phase_zero_seed(phased_conv):
+    """The merged report's seed version is the size of ``spec.term``
+    seeded into a fresh graph: phase 0's first round, which seeds
+    exactly that term (value computed when a separate up-front graph
+    still measured it)."""
+    first_round = phased_conv.phases.phases[0].rounds[0]
+    assert phased_conv.report.seed_version == 2074
+    assert first_round.seed_version == 2074

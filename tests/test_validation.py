@@ -196,3 +196,18 @@ class TestValidate:
         result = validate(spec, subtle)
         assert not result.ok
         assert [l.index for l in result.failing_lanes()] == [3]
+
+    def test_random_lane_without_a_valid_sample_fails(self):
+        """A lane whose every random sample is out of domain (here a
+        square root of a negative number) carries no evidence: the
+        randomized fallback must not accept it vacuously."""
+        from dataclasses import replace
+
+        root = "(sqrt (- -1 (* (Get a 0) (Get a 0))))"
+        spec = replace(_vadd_spec(1), term=parse(f"(List {root})"))
+        result = validate(spec, parse(f"(List (+ 1 {root}))"))
+        assert not result.ok
+        [lane] = result.lanes
+        assert (lane.method, lane.ok, lane.detail) == (
+            "random", False, "no valid random sample"
+        )
