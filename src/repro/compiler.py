@@ -37,6 +37,9 @@ instead of degradation.
 from __future__ import annotations
 
 import dataclasses
+import gc
+import os
+import threading
 import time
 import tracemalloc
 from dataclasses import dataclass, field
@@ -317,6 +320,58 @@ class _StageClock:
             self._span = None
 
 
+class _CollectorPause:
+    """Pauses CPython's automatic cyclic collection while any in-process
+    compile runs (DESIGN.md §15).
+
+    A compile creates no reference cycles, so reference counting frees
+    everything it discards; the collector's full passes over the live
+    e-graphs would reclaim nothing.  Re-entrant and thread-safe: the
+    first compile to enter disables the collector -- only if it was
+    enabled -- and the last one to leave enables it again, so overlapping
+    compiles keep it paused until all of them have returned.
+    """
+
+    def __init__(self) -> None:
+        self._reset()
+
+    def _reset(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        #: Whether this guard disabled the collector (and must re-enable it).
+        self._paused = False
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._depth == 0:
+                self._paused = gc.isenabled()
+                if self._paused:
+                    gc.disable()
+            self._depth += 1
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            if self._depth == 0:
+                # Entered before a fork, left in the child.
+                return
+            self._depth -= 1
+            if self._depth == 0 and self._paused:
+                self._paused = False
+                gc.enable()
+
+    def _after_fork_in_child(self) -> None:
+        """A forked child runs none of its parent's compiles: restore
+        the collector they paused and start from a fresh lock."""
+        if self._paused:
+            gc.enable()
+        self._reset()
+
+
+_collector_pause = _CollectorPause()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_collector_pause._after_fork_in_child)
+
+
 def compile_spec(spec: Spec, options: Optional[CompileOptions] = None) -> CompileResult:
     """Compile a lifted spec through saturation, extraction, lowering,
     and validation, degrading gracefully on stage failures (see the
@@ -330,25 +385,26 @@ def compile_spec(spec: Spec, options: Optional[CompileOptions] = None) -> Compil
     and the configured post-mortem directory) -- a failed compile still
     leaves a black box to read.
     """
-    options = options or CompileOptions()
-    options = _clamp_to_deadline(spec, options)
-    obs = options.observability
-    if obs is None or not obs.enabled:
-        return _compile_pipeline(spec, options)
+    with _collector_pause:
+        options = options or CompileOptions()
+        options = _clamp_to_deadline(spec, options)
+        obs = options.observability
+        if obs is None or not obs.enabled:
+            return _compile_pipeline(spec, options)
 
-    session = ObservabilitySession(obs)
-    with activate(session):
-        try:
-            with span("compile", kernel=spec.name):
-                result = _compile_pipeline(spec, options)
-        except BaseException as exc:
-            _export_failure(session, obs, spec, exc)
-            raise
-    data = session.export()
-    result.observability = data
-    failed = result.degraded or result.timed_out or result.report.errored
-    write_compile_artifacts(data, obs, spec.name, failed=failed)
-    return result
+        session = ObservabilitySession(obs)
+        with activate(session):
+            try:
+                with span("compile", kernel=spec.name):
+                    result = _compile_pipeline(spec, options)
+            except BaseException as exc:
+                _export_failure(session, obs, spec, exc)
+                raise
+        data = session.export()
+        result.observability = data
+        failed = result.degraded or result.timed_out or result.report.errored
+        write_compile_artifacts(data, obs, spec.name, failed=failed)
+        return result
 
 
 def _clamp_to_deadline(spec: Spec, options: CompileOptions) -> CompileOptions:

@@ -54,11 +54,11 @@ Predicate = Callable[[Spec], bool]
 
 def spec_size(spec: Spec) -> int:
     """Reduction metric: total term nodes plus total input length."""
+    return _tree_nodes(spec.term) + sum(d.length for d in spec.inputs)
 
-    def nodes(term: Term) -> int:
-        return 1 + sum(nodes(a) for a in term.args)
 
-    return nodes(spec.term) + sum(d.length for d in spec.inputs)
+def _tree_nodes(term: Term) -> int:
+    return 1 + sum(_tree_nodes(a) for a in term.args)
 
 
 @dataclass

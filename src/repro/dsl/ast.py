@@ -309,43 +309,45 @@ def term_depth(term: Term) -> int:
 def substitute(term: Term, mapping: Dict[Term, Term]) -> Term:
     """Replace every occurrence of the keys of ``mapping`` (matched
     structurally) by the corresponding values, bottom-up."""
-    cache: Dict[Term, Term] = {}
+    return _substitute(term, mapping, {})
 
-    def go(t: Term) -> Term:
-        hit = cache.get(t)
-        if hit is not None:
-            return hit
-        if t in mapping:
-            result = mapping[t]
-        elif t.args:
-            new_args = tuple(go(a) for a in t.args)
-            result = t if new_args == t.args else Term(t.op, new_args, t.value)
-        else:
-            result = t
-        cache[t] = result
-        return result
 
-    return go(term)
+def _substitute(t: Term, mapping: Dict[Term, Term], cache: Dict[Term, Term]) -> Term:
+    # A plain function, not a nested closure: a self-recursive closure
+    # is a reference cycle that only the cyclic collector could free.
+    hit = cache.get(t)
+    if hit is not None:
+        return hit
+    if t in mapping:
+        result = mapping[t]
+    elif t.args:
+        new_args = tuple(_substitute(a, mapping, cache) for a in t.args)
+        result = t if new_args == t.args else Term(t.op, new_args, t.value)
+    else:
+        result = t
+    cache[t] = result
+    return result
 
 
 def map_terms(term: Term, fn: Callable[[Term], Optional[Term]]) -> Term:
     """Rebuild ``term`` bottom-up, replacing each node ``t`` (whose
     children have already been rewritten) by ``fn(t)`` when that returns
     a term, keeping ``t`` when it returns ``None``."""
-    cache: Dict[Term, Term] = {}
+    return _map_terms(term, fn, {})
 
-    def go(t: Term) -> Term:
-        hit = cache.get(t)
-        if hit is not None:
-            return hit
-        rebuilt = t
-        if t.args:
-            new_args = tuple(go(a) for a in t.args)
-            if new_args != t.args:
-                rebuilt = Term(t.op, new_args, t.value)
-        replaced = fn(rebuilt)
-        result = rebuilt if replaced is None else replaced
-        cache[t] = result
-        return result
 
-    return go(term)
+def _map_terms(
+    t: Term, fn: Callable[[Term], Optional[Term]], cache: Dict[Term, Term]
+) -> Term:
+    hit = cache.get(t)
+    if hit is not None:
+        return hit
+    rebuilt = t
+    if t.args:
+        new_args = tuple(_map_terms(a, fn, cache) for a in t.args)
+        if new_args != t.args:
+            rebuilt = Term(t.op, new_args, t.value)
+    replaced = fn(rebuilt)
+    result = rebuilt if replaced is None else replaced
+    cache[t] = result
+    return result

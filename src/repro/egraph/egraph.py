@@ -472,18 +472,19 @@ class EGraph:
 
     def add_term(self, term: Term) -> int:
         """Insert a whole term bottom-up; returns the root's class id."""
-        cache: Dict[Term, int] = {}
+        return self._add_term(term, {})
 
-        def go(t: Term) -> int:
-            hit = cache.get(t)
-            if hit is not None:
-                return hit
-            children = tuple(go(a) for a in t.args)
-            cid = self.add(ENode(t.op, children, t.value))
-            cache[t] = cid
-            return cid
-
-        return go(term)
+    def _add_term(self, t: Term, cache: Dict[Term, int]) -> int:
+        # A method, not a nested closure: a self-recursive closure is a
+        # reference cycle that would keep the graph alive until the next
+        # cyclic collection (DESIGN.md §15).
+        hit = cache.get(t)
+        if hit is not None:
+            return hit
+        children = tuple(self._add_term(a, cache) for a in t.args)
+        cid = self.add(ENode(t.op, children, t.value))
+        cache[t] = cid
+        return cid
 
     def lookup(self, node: ENode) -> Optional[int]:
         """Class id of a canonical e-node, or ``None`` if absent.

@@ -60,7 +60,27 @@ class Extractor:
         self.cost_function = cost_function or CostFunction()
         #: class id -> (cost, chosen node); populated by :meth:`_relax`.
         self._best: Dict[int, Tuple[float, ENode]] = {}
-        self._relax()
+        #: The fixpoint runs on the first query, so a caller that times
+        #: :meth:`extract` times the extraction (DESIGN.md §15).
+        self._pending = True
+
+    def _solve(self) -> Dict[int, Tuple[float, ENode]]:
+        """The choice table, relaxed to fixpoint on first use.
+
+        The cost function queries :meth:`best_node` *during* the
+        relaxation; ``_pending`` is cleared first so those queries read
+        the table being built instead of re-entering.  A relaxation
+        that raises leaves no partial table: the next query re-runs it
+        (and raises again)."""
+        if self._pending:
+            self._pending = False
+            try:
+                self._relax()
+            except BaseException:
+                self._best.clear()
+                self._pending = True
+                raise
+        return self._best
 
     # ------------------------------------------------------------------
 
@@ -68,18 +88,18 @@ class Extractor:
         """Cost of the best term in the class, or ``None`` when the
         class contains no finishable term (can happen mid-construction
         or for classes only reachable through cycles)."""
-        entry = self._best.get(self.egraph.find(eclass_id))
+        entry = self._solve().get(self.egraph.find(eclass_id))
         return None if entry is None else entry[0]
 
     def best_node(self, eclass_id: int) -> Optional[ENode]:
         """The chosen representative e-node of the class."""
-        entry = self._best.get(self.egraph.find(eclass_id))
+        entry = self._solve().get(self.egraph.find(eclass_id))
         return None if entry is None else entry[1]
 
     def extract(self, eclass_id: int) -> ExtractionResult:
         """Materialize the chosen term rooted at ``eclass_id``."""
         cid = self.egraph.find(eclass_id)
-        entry = self._best.get(cid)
+        entry = self._solve().get(cid)
         if entry is None:
             raise ValueError(f"e-class {cid} has no extractable term")
         cache: Dict[int, Term] = {}

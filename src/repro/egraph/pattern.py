@@ -148,16 +148,14 @@ def pattern(source: Union[str, Term, Pattern]) -> Pattern:
 def pattern_vars(pat: Pattern) -> List[str]:
     """All variable names occurring in the pattern, in first-seen order."""
     seen: List[str] = []
-
-    def go(p: Pattern) -> None:
+    stack = [pat]
+    while stack:
+        p = stack.pop()
         if isinstance(p, PVar):
             if p.name not in seen:
                 seen.append(p.name)
         else:
-            for a in p.args:
-                go(a)
-
-    go(pat)
+            stack.extend(reversed(p.args))
     return seen
 
 
@@ -235,7 +233,12 @@ class _Codegen:
             else:
                 self.match(pat.args[i], kids[i], d, lambda d2: chain(i + 1, d2))
 
-        chain(0, depth + 1)
+        try:
+            chain(0, depth + 1)
+        finally:
+            # ``chain`` reaches itself through its closure: drop it so
+            # the generator is freed without a cyclic collection.
+            chain = None
 
     def const(self, value) -> str:
         name = f"V{len(self.consts)}"
@@ -318,41 +321,55 @@ def _resolve_ground(egraph: EGraph, grounds: Sequence[PNode]) -> Optional[Tuple]
     class: one per e-node spelling it out, times the children's."""
     classes: Dict[PNode, Optional[int]] = {}
     counts: Dict[PNode, int] = {}
-
-    def lookup(g: PNode) -> Optional[int]:
-        if g not in classes:
-            kids = [lookup(a) for a in g.args]
-            classes[g] = (
-                None if None in kids
-                else egraph.lookup(ENode(g.op, tuple(kids), g.value))
-            )
-        return classes[g]
-
-    def count(g: PNode) -> int:
-        if g not in counts:
-            total = 0
-            for node in egraph._classes[classes[g]].nodes:
-                if node.op != g.op or node.value != g.value:
-                    continue
-                if len(node.children) != len(g.args):
-                    continue
-                ways = 1
-                for a, child in zip(g.args, node.children):
-                    if egraph.find(child) != classes[a]:
-                        ways = 0
-                        break
-                    ways *= count(a)
-                total += ways
-            counts[g] = total
-        return counts[g]
-
     flat: List = []
     for g in grounds:
-        cid = lookup(g)
+        cid = _ground_class(egraph, classes, g)
         if cid is None:
             return None
-        flat += [cid, range(count(g))]
+        flat += [cid, range(_ground_ways(egraph, classes, counts, g))]
     return tuple(flat)
+
+
+# The two walks of ``_resolve_ground`` are plain functions, not nested
+# closures: a self-recursive closure holding the e-graph is a reference
+# cycle, and would keep every searched graph alive until the next
+# cyclic collection (DESIGN.md §15).
+
+
+def _ground_class(
+    egraph: EGraph, classes: Dict[PNode, Optional[int]], g: PNode
+) -> Optional[int]:
+    if g not in classes:
+        kids = [_ground_class(egraph, classes, a) for a in g.args]
+        classes[g] = (
+            None if None in kids
+            else egraph.lookup(ENode(g.op, tuple(kids), g.value))
+        )
+    return classes[g]
+
+
+def _ground_ways(
+    egraph: EGraph,
+    classes: Dict[PNode, Optional[int]],
+    counts: Dict[PNode, int],
+    g: PNode,
+) -> int:
+    if g not in counts:
+        total = 0
+        for node in egraph._classes[classes[g]].nodes:
+            if node.op != g.op or node.value != g.value:
+                continue
+            if len(node.children) != len(g.args):
+                continue
+            ways = 1
+            for a, child in zip(g.args, node.children):
+                if egraph.find(child) != classes[a]:
+                    ways = 0
+                    break
+                ways *= _ground_ways(egraph, classes, counts, a)
+            total += ways
+        counts[g] = total
+    return counts[g]
 
 
 @lru_cache(maxsize=4096)

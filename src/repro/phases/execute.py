@@ -418,7 +418,7 @@ def _run_phase(
     root = egraph.add_term(term)
     crash: Optional[str] = None
     extraction = None
-    score = 1.0
+    score, satisfied = 1.0, True
 
     node_limit = phase.resolve_node_limit(egraph.version)
     for round_index in range(max_rounds):
@@ -483,7 +483,11 @@ def _run_phase(
 
         extraction = Extractor(egraph, cost).extract(root)
         new_term = extraction.term
-        score = phase.sketch.score(new_term) if phase.sketch else 1.0
+        # One walk of the extracted term serves the score, the extend
+        # decision and the phase verdict.
+        score, satisfied = (
+            phase.sketch.evaluate(new_term) if phase.sketch else (1.0, True)
+        )
         report.rounds.append(
             PhaseRoundReport(
                 round=round_index,
@@ -517,7 +521,7 @@ def _run_phase(
             break
         progressed = new_term != term
         term = new_term
-        if phase.sketch is None or phase.sketch.satisfied(term):
+        if satisfied:
             report.outcome = "extended" if round_index > 0 else ""
             break
         if run.saturated:
@@ -532,9 +536,7 @@ def _run_phase(
 
     report.total_time = time.perf_counter() - start
     report.sketch_score = score
-    report.sketch_satisfied = (
-        phase.sketch is None or phase.sketch.satisfied(term)
-    )
+    report.sketch_satisfied = satisfied
     report.extracted_cost = extraction.cost if extraction is not None else 0.0
     if crash is None and not report.sketch_satisfied:
         report.outcome = (

@@ -10,6 +10,11 @@ the sketch language: small, picklable combinator objects with
 * :meth:`Sketch.score`     -- how close is it, in ``[0, 1]``?  The
   executor records the score per phase and uses it to decide whether
   an ``extend`` on-miss policy made progress.
+* :meth:`Sketch.evaluate`  -- both at once: every part of the sketch
+  reads one shared operator histogram of the term, so the executor
+  walks each extracted term once per round.  Subclasses implement
+  ``_score`` (and, for junctions, ``_satisfied``) over that
+  :class:`_TermFacts` view.
 * :meth:`Sketch.required_ops` / :meth:`Sketch.forbidden_ops` -- the
   operator hints the phase executor turns into an extraction bias
   (reward the ops the sketch wants present, penalize the ops it wants
@@ -27,7 +32,7 @@ Everything is also JSON round-trippable (:func:`sketch_from_json` /
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterable, Iterator, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
 
 from ..dsl.ast import Term
 
@@ -66,13 +71,41 @@ def op_counts(term: Term) -> Dict[str, int]:
     return counts
 
 
+class _TermFacts:
+    """A term and its operator histogram, computed on first use and
+    then shared by every sketch part that asks."""
+
+    __slots__ = ("term", "_counts")
+
+    def __init__(self, term: Term) -> None:
+        self.term = term
+        self._counts: Optional[Dict[str, int]] = None
+
+    @property
+    def counts(self) -> Dict[str, int]:
+        if self._counts is None:
+            self._counts = op_counts(self.term)
+        return self._counts
+
+
 class Sketch:
     """Base sketch.  Subclasses are immutable and compare by repr."""
 
     def satisfied(self, term: Term) -> bool:
-        return self.score(term) >= 1.0
+        return self._satisfied(_TermFacts(term))
 
     def score(self, term: Term) -> float:
+        return self._score(_TermFacts(term))
+
+    def evaluate(self, term: Term) -> Tuple[float, bool]:
+        """``(score(term), satisfied(term))`` from one walk of the term."""
+        facts = _TermFacts(term)
+        return self._score(facts), self._satisfied(facts)
+
+    def _satisfied(self, facts: _TermFacts) -> bool:
+        return self._score(facts) >= 1.0
+
+    def _score(self, facts: _TermFacts) -> float:
         raise NotImplementedError
 
     def required_ops(self) -> FrozenSet[str]:
@@ -99,8 +132,8 @@ class Contains(Sketch):
     def __init__(self, op: str) -> None:
         self.op = op
 
-    def score(self, term: Term) -> float:
-        return 1.0 if op_counts(term).get(self.op, 0) > 0 else 0.0
+    def _score(self, facts: _TermFacts) -> float:
+        return 1.0 if facts.counts.get(self.op, 0) > 0 else 0.0
 
     def required_ops(self) -> FrozenSet[str]:
         return frozenset((self.op,))
@@ -125,8 +158,8 @@ class CountAtLeast(Sketch):
         self.op = op
         self.count = count
 
-    def score(self, term: Term) -> float:
-        return min(1.0, op_counts(term).get(self.op, 0) / self.count)
+    def _score(self, facts: _TermFacts) -> float:
+        return min(1.0, facts.counts.get(self.op, 0) / self.count)
 
     def required_ops(self) -> FrozenSet[str]:
         return frozenset((self.op,))
@@ -151,12 +184,9 @@ class NoneOf(Sketch):
         if not self.ops:
             raise ValueError("NoneOf needs at least one operator")
 
-    def _violations(self, term: Term) -> int:
-        counts = op_counts(term)
-        return sum(counts.get(op, 0) for op in self.ops)
-
-    def score(self, term: Term) -> float:
-        bad = self._violations(term)
+    def _score(self, facts: _TermFacts) -> float:
+        counts = facts.counts
+        bad = sum(counts.get(op, 0) for op in self.ops)
         return 1.0 if bad == 0 else 1.0 / (1.0 + bad)
 
     def forbidden_ops(self) -> FrozenSet[str]:
@@ -194,8 +224,8 @@ class NoneUnder(Sketch):
                     bad.add(sub)
         return len(bad)
 
-    def score(self, term: Term) -> float:
-        bad = self._violations(term)
+    def _score(self, facts: _TermFacts) -> float:
+        bad = self._violations(facts.term)
         return 1.0 if bad == 0 else 1.0 / (1.0 + bad)
 
     def forbidden_ops(self) -> FrozenSet[str]:
@@ -214,8 +244,8 @@ class Not(Sketch):
     def __init__(self, inner: Sketch) -> None:
         self.inner = inner
 
-    def score(self, term: Term) -> float:
-        return 1.0 - self.inner.score(term)
+    def _score(self, facts: _TermFacts) -> float:
+        return 1.0 - self.inner._score(facts)
 
     def required_ops(self) -> FrozenSet[str]:
         return self.inner.forbidden_ops()
@@ -256,11 +286,11 @@ class _Junction(Sketch):
 class All(_Junction):
     """Conjunction: satisfied when every part is; score is the mean."""
 
-    def satisfied(self, term: Term) -> bool:
-        return all(part.satisfied(term) for part in self.parts)
+    def _satisfied(self, facts: _TermFacts) -> bool:
+        return all(part._satisfied(facts) for part in self.parts)
 
-    def score(self, term: Term) -> float:
-        return sum(part.score(term) for part in self.parts) / len(self.parts)
+    def _score(self, facts: _TermFacts) -> float:
+        return sum(part._score(facts) for part in self.parts) / len(self.parts)
 
     def to_json(self) -> Dict[str, Any]:
         return {"kind": "all", "parts": [p.to_json() for p in self.parts]}
@@ -269,11 +299,11 @@ class All(_Junction):
 class AnyOf(_Junction):
     """Disjunction: satisfied when any part is; score is the max."""
 
-    def satisfied(self, term: Term) -> bool:
-        return any(part.satisfied(term) for part in self.parts)
+    def _satisfied(self, facts: _TermFacts) -> bool:
+        return any(part._satisfied(facts) for part in self.parts)
 
-    def score(self, term: Term) -> float:
-        return max(part.score(term) for part in self.parts)
+    def _score(self, facts: _TermFacts) -> float:
+        return max(part._score(facts) for part in self.parts)
 
     def to_json(self) -> Dict[str, Any]:
         return {"kind": "any", "parts": [p.to_json() for p in self.parts]}

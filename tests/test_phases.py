@@ -97,6 +97,51 @@ def test_not_and_junctions():
     assert either.satisfied(VEC_TERM) and either.satisfied(SCALAR_TERM)
 
 
+def test_evaluate_is_score_and_satisfied():
+    bad = Term("Concat", (Term("Vec", (Term("*", (_sym("a"), _num(2))),)),))
+    sketches = [
+        Contains("Vec"), CountAtLeast("Vec", 4), NoneOf(("*", "+")),
+        NoneUnder("Concat", ("*",)), Not(Contains("List")),
+        All(Contains("Concat"), Contains("Vec"), Not(Contains("List"))),
+        AnyOf(Contains("List"), NoneOf(("*",))),
+    ]
+    for sketch in sketches:
+        for term in (VEC_TERM, SCALAR_TERM, bad):
+            assert sketch.evaluate(term) == (
+                sketch.score(term), sketch.satisfied(term)
+            ), (sketch, term)
+
+
+def test_phase_rounds_walk_each_extracted_term_once(monkeypatch):
+    """Score, extend decision and phase verdict share one operator
+    histogram: one ``op_counts`` walk per round, where the layout sketch
+    All(Contains, Contains, Not(Contains)) alone used to take nine."""
+    from repro.phases import sketch as sketch_module
+
+    walks = []
+    op_counts = sketch_module.op_counts
+
+    def counting(term):
+        walks.append(term)
+        return op_counts(term)
+
+    monkeypatch.setattr(sketch_module, "op_counts", counting)
+    options = CompileOptions(time_limit=None, validate=False, phases="on",
+                             seed=0)
+    result = compile_spec(get_kernel("matmul-2x2-2x2").spec(), options)
+    monkeypatch.undo()
+    phases = result.phases.phases
+    assert len(walks) == sum(len(p.rounds) for p in phases) > 0
+    # The recorded scores and verdicts are those of the walked terms.
+    terms = iter(walks)
+    for phase, planned in zip(phases, default_plan(options.vector_width).phases):
+        for r in phase.rounds:
+            term = next(terms)
+            assert r.sketch_score == planned.sketch.score(term)
+        assert phase.sketch_score == planned.sketch.score(term)
+        assert phase.sketch_satisfied == planned.sketch.satisfied(term)
+
+
 def test_bias_hints_required_and_forbidden():
     layout_goal = All(
         Contains("Concat"), Contains("Vec"), Not(Contains("List"))
